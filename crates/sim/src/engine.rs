@@ -3,6 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::flightrec::{FlightRecorder, HopAction};
 use crate::metrics::MetricsRegistry;
@@ -14,6 +15,32 @@ use crate::trace::Trace;
 /// Identifier of a scheduled event, usable to cancel it before it fires.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId(u64);
+
+/// Hasher for [`EventId`] sets. Ids are dense `u64`s handed out in
+/// order, so one multiply by an odd constant (Fibonacci hashing) spreads
+/// them over both the bucket index (low bits, a bijection for any table
+/// size) and the tag bits (high bits) at a fraction of SipHash's cost.
+/// Nothing adversarial chooses the ids.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+type IdSet = HashSet<EventId, BuildHasherDefault<IdHasher>>;
 
 type EventFn<W> = Box<dyn FnOnce(&mut Sim<W>)>;
 
@@ -47,9 +74,9 @@ pub struct Sim<W> {
     next_id: u64,
     queue: BinaryHeap<Reverse<HeapEntry<W>>>,
     /// Ids of events still in the queue and not cancelled.
-    queued: HashSet<EventId>,
+    queued: IdSet,
     /// Ids cancelled while queued; their heap entries are skipped lazily.
-    cancelled: HashSet<EventId>,
+    cancelled: IdSet,
     world: W,
     rng: SimRng,
     trace: Trace,
@@ -107,8 +134,8 @@ impl<W> Sim<W> {
             now: SimTime::ZERO,
             next_id: 0,
             queue: BinaryHeap::new(),
-            queued: HashSet::new(),
-            cancelled: HashSet::new(),
+            queued: IdSet::default(),
+            cancelled: IdSet::default(),
             world,
             rng: SimRng::new(seed),
             trace: Trace::new(),
@@ -268,20 +295,23 @@ impl<W> Sim<W> {
         }
     }
 
-    fn pop_runnable(&mut self) -> Option<QueuedEvent<W>> {
-        while let Some(Reverse(HeapEntry(ev))) = self.queue.pop() {
-            if self.cancelled.remove(&ev.id) {
-                continue;
-            }
-            self.queued.remove(&ev.id);
-            return Some(ev);
+    /// Pops the next runnable event if it is due by `deadline` (any time
+    /// when `None`). The head is inspected before it is popped, so a
+    /// window that ends with nothing due leaves the queue as it was.
+    fn pop_due(&mut self, deadline: Option<SimTime>) -> Option<QueuedEvent<W>> {
+        let at = self.next_event_at()?;
+        if deadline.is_some_and(|d| at > d) {
+            return None;
         }
-        None
+        // `next_event_at` discarded cancelled heads, so the head runs.
+        let Reverse(HeapEntry(ev)) = self.queue.pop()?;
+        self.queued.remove(&ev.id);
+        Some(ev)
     }
 
     /// Runs a single event if one is pending. Returns `false` when idle.
     pub fn step(&mut self) -> bool {
-        match self.pop_runnable() {
+        match self.pop_due(None) {
             Some(ev) => {
                 debug_assert!(ev.at >= self.now);
                 self.now = ev.at;
@@ -304,15 +334,9 @@ impl<W> Sim<W> {
     /// pops same-time entries in id (FIFO) order, and events scheduled
     /// mid-batch get strictly larger ids than everything already drained.
     fn run_batch(&mut self, deadline: Option<SimTime>) -> bool {
-        let Some(first) = self.pop_runnable() else {
+        let Some(first) = self.pop_due(deadline) else {
             return false;
         };
-        if deadline.is_some_and(|d| first.at > d) {
-            // Past the deadline; push the event back untouched.
-            self.queued.insert(first.id);
-            self.queue.push(Reverse(HeapEntry(first)));
-            return false;
-        }
         debug_assert!(first.at >= self.now);
         let batch_at = first.at;
         self.now = batch_at;
@@ -320,12 +344,12 @@ impl<W> Sim<W> {
         self.events_executed += 1;
         let mut in_batch: u64 = 1;
         (first.run)(self);
+        let mut drained: Vec<QueuedEvent<W>> = Vec::new();
         loop {
             // Pull every remaining same-instant entry off the heap. Ids
             // stay in `queued` until the event actually runs, so
             // `pending_events` and `cancel` observe the same states as
             // the unbatched path.
-            let mut drained: Vec<QueuedEvent<W>> = Vec::new();
             while let Some(Reverse(entry)) = self.queue.peek() {
                 if entry.0.at != batch_at {
                     break;
@@ -341,7 +365,7 @@ impl<W> Sim<W> {
             if drained.is_empty() {
                 break;
             }
-            for ev in drained {
+            for ev in drained.drain(..) {
                 // A batch member may have cancelled a later same-instant
                 // event after it was drained; honor that here.
                 if !self.queued.remove(&ev.id) {
@@ -423,28 +447,7 @@ impl<W> Sim<W> {
         if self.batching {
             while self.run_batch(Some(deadline)) {}
         } else {
-            // Not a `while let`: the borrow from `peek` must end before
-            // `pop_runnable` can take `&mut self`.
-            #[allow(clippy::while_let_loop)]
-            loop {
-                let Some(Reverse(entry)) = self.queue.peek() else {
-                    break;
-                };
-                if entry.0.at > deadline {
-                    break;
-                }
-                // The peeked entry may have been cancelled; pop_runnable
-                // skips those and may drain the queue entirely.
-                let Some(ev) = self.pop_runnable() else {
-                    break;
-                };
-                if ev.at > deadline {
-                    // The runnable event (after skipping cancelled ones) is
-                    // past the deadline; push it back untouched.
-                    self.queued.insert(ev.id);
-                    self.queue.push(Reverse(HeapEntry(ev)));
-                    break;
-                }
+            while let Some(ev) = self.pop_due(Some(deadline)) {
                 self.now = ev.at;
                 self.events_executed += 1;
                 let t0 = self.profiler.begin();

@@ -4,6 +4,14 @@
 //! host got back, when the registration reply arrived — so the trace is a
 //! flat, queryable log of `(time, kind, detail)` entries that workload code
 //! appends to and the harness filters afterwards.
+//!
+//! The log is unbounded, so it keeps control-plane records only: device
+//! state changes, DHCP, registration and binding changes, drops with
+//! their reason, and capture-mode frame summaries. Packets that go through
+//! a tunnel leave no record here: their encapsulation and decapsulation
+//! hops go to the flight recorder's bounded ring
+//! ([`FlightRecorder`](crate::FlightRecorder)) and to the `ip/encap` and
+//! `ip/decap` counters.
 
 use crate::metrics::SnapshotDelta;
 use crate::time::SimTime;
@@ -45,7 +53,8 @@ pub struct TraceEntry {
     pub detail: String,
 }
 
-/// An append-only log of [`TraceEntry`] records.
+/// An append-only, unbounded log of [`TraceEntry`] records; see the
+/// module docs for what belongs in it.
 #[derive(Debug, Default)]
 pub struct Trace {
     entries: Vec<TraceEntry>,
@@ -61,7 +70,8 @@ impl Trace {
         }
     }
 
-    /// Enables or disables recording (long benches disable it).
+    /// Enables or disables recording. On by default; with the data path
+    /// writing no records, nothing in the repository turns it off.
     pub fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
     }

@@ -660,13 +660,6 @@ fn forward(
         core.stats.forwarded.inc();
         core.stats.encapsulated.inc();
         sim.record_hop(flight, host.0 as u32, "tunnel", HopAction::Encap);
-        if sim.trace().is_enabled() {
-            let name = sim.world().hosts[host.0].core.name.clone();
-            let detail = format!("tunnel {} -> care-of {}", packet.header.dst, care_of);
-            let now = sim.now();
-            sim.trace_mut()
-                .record(now, TraceKind::Mobility, name, detail);
-        }
         transmit_ip(
             sim,
             host,
@@ -1114,16 +1107,6 @@ fn ipip_input(
         Ok(inner) => {
             sim.world_mut().hosts[host.0].core.stats.decapsulated.inc();
             sim.record_hop(flight, host.0 as u32, "tunnel", HopAction::Decap);
-            if sim.trace().is_enabled() {
-                let name = sim.world().hosts[host.0].core.name.clone();
-                let detail = format!(
-                    "decapsulated {} -> {} (outer from {})",
-                    inner.header.src, inner.header.dst, packet.header.src
-                );
-                let now = sim.now();
-                sim.trace_mut()
-                    .record(now, TraceKind::Mobility, name, detail);
-            }
             // "The packet... will take the reverse of the dotted path" —
             // the inner packet re-enters IP as if freshly received.
             ip_input_flight(sim, host, in_iface, inner, depth + 1, flight);

@@ -820,7 +820,6 @@ pub(crate) fn transmit_wire(
     struct Tx {
         deliveries: Vec<(HostId, IfaceId, SimDuration, FaultVerdict)>,
         lan: LanId,
-        lan_name: String,
         lost: u64,
         faults: Vec<&'static str>,
     }
@@ -843,39 +842,33 @@ pub(crate) fn transmit_wire(
             // links like STRIP make this very visible).
             let tx_time = ifc.device.schedule_tx(now, wire_len);
             let src_mac = ifc.device.mac();
-            // Medium draws first (engine RNG — sequence unchanged by the
-            // fault layer), then the fault plan judges each surviving
-            // copy from its own stream.
-            let mut reached = Vec::new();
+            // The medium draws loss, then delay, from the engine RNG; the
+            // fault plan judges each copy that survives the medium from
+            // its own stream. Neither stream's draws depend on the other's,
+            // so judging each recipient as the walk reaches it keeps both
+            // sequences fixed.
+            let recipients = w.lans[lan_id.0].recipients(dst, src_mac);
+            let mut deliveries = Vec::with_capacity(recipients.len());
             let mut lost = 0;
-            {
-                let lan = &w.lans[lan_id.0];
-                for key in lan.recipients(dst, src_mac) {
-                    if lan.draw_loss(rng) {
-                        lost += 1;
-                        continue;
-                    }
-                    reached.push((key, tx_time + lan.draw_delay(rng)));
-                }
-            }
-            let mut judged = Vec::with_capacity(reached.len());
             let mut faults = Vec::new();
-            {
+            for key in recipients {
                 let lan = &mut w.lans[lan_id.0];
-                for (key, delay) in reached {
-                    let verdict = match lan.fault.as_mut() {
-                        Some(fault) => fault.judge(now, payload_len),
-                        None => FaultVerdict::default(),
-                    };
-                    faults.extend(verdict.codes());
-                    if verdict.drop {
-                        continue;
-                    }
-                    judged.push((key, delay, verdict));
+                if lan.draw_loss(rng) {
+                    lost += 1;
+                    continue;
                 }
-            }
-            let mut deliveries = Vec::with_capacity(judged.len());
-            for (key, delay, verdict) in judged {
+                let delay = tx_time + lan.draw_delay(rng);
+                let verdict = match lan.fault.as_mut() {
+                    Some(fault) => {
+                        let verdict = fault.judge(now, payload_len);
+                        faults.extend(verdict.codes());
+                        verdict
+                    }
+                    None => FaultVerdict::default(),
+                };
+                if verdict.drop {
+                    continue;
+                }
                 if let Some((h, i)) = w.resolve_attachment(key) {
                     deliveries.push((h, i, delay, verdict));
                 }
@@ -888,7 +881,6 @@ pub(crate) fn transmit_wire(
             Some(Tx {
                 deliveries,
                 lan: lan_id,
-                lan_name: w.lans[lan_id.0].name().to_string(),
                 lost,
                 faults,
             })
@@ -934,13 +926,10 @@ pub(crate) fn transmit_wire(
         } else {
             TraceKind::Marker
         };
-        let name = sim.world().hosts[host.0].core.name.clone();
-        sim.trace_mut().record(
-            now,
-            kind,
-            name,
-            format!("{code}: injected on {}", plan.lan_name),
-        );
+        let w = sim.world();
+        let name = w.hosts[host.0].core.name.clone();
+        let detail = format!("{code}: injected on {}", w.lans[plan.lan.0].name());
+        sim.trace_mut().record(now, kind, name, detail);
     }
     let lan = plan.lan;
     for (h, i, delay, verdict) in plan.deliveries {

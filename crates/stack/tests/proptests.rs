@@ -1,13 +1,20 @@
 //! Property-based tests for the stack's core data structures: the routing
 //! table against a naive model, the UDP socket table, the ARP state
-//! machine, and TCP stream delivery under arbitrary loss/duplication.
+//! machine, TCP stream delivery under arbitrary loss/duplication, and
+//! the capture summaries of plain and tunnelled UDP frames.
 
+use bytes::Bytes;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
+use mosquitonet_link::{EtherType, Frame};
 use mosquitonet_sim::SimTime;
-use mosquitonet_stack::{ArpState, IfaceId, ModuleId, RouteEntry, RouteTable, TcpTable, UdpTable};
-use mosquitonet_wire::{ArpOp, ArpPacket, Cidr, MacAddr};
+use mosquitonet_stack::{
+    frame_summary, ArpState, IfaceId, ModuleId, RouteEntry, RouteTable, TcpTable, UdpTable,
+};
+use mosquitonet_wire::{
+    ipip, ArpOp, ArpPacket, Cidr, IpProto, Ipv4Header, Ipv4Packet, MacAddr, UdpDatagram,
+};
 
 fn arb_addr() -> impl Strategy<Value = Ipv4Addr> {
     // A small address universe so prefixes actually collide.
@@ -36,7 +43,80 @@ fn model_lookup(entries: &[RouteEntry], dst: Ipv4Addr) -> Option<(u8, u32)> {
         .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
 }
 
+/// What a frame carrying one UDP datagram (through one tunnel level
+/// when `tunnel` is given) looks like on the wire, and what the capture
+/// summary of it must read.
+fn udp_frame(
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    ports: (u16, u16),
+    payload_len: usize,
+    tunnel: Option<(Ipv4Addr, Ipv4Addr)>,
+) -> (Vec<u8>, String) {
+    let udp = UdpDatagram::new(ports.0, ports.1, Bytes::from(vec![0x5Au8; payload_len]));
+    let mut pkt = Ipv4Packet::new(
+        Ipv4Header::new(src, dst, IpProto::Udp),
+        udp.to_bytes(src, dst),
+    );
+    let mut summary = format!(
+        "UDP {src}:{} > {dst}:{} len {payload_len}",
+        ports.0, ports.1
+    );
+    if let Some((osrc, odst)) = tunnel {
+        pkt = ipip::encapsulate(&pkt, osrc, odst);
+        summary = format!("IPIP {osrc} > {odst} | {summary}");
+    }
+    let frame = Frame::new(
+        MacAddr::from_index(2),
+        MacAddr::from_index(1),
+        EtherType::Ipv4,
+        pkt.to_bytes(),
+    );
+    (frame.to_bytes().to_vec(), summary)
+}
+
+fn summary_of(wire: &[u8]) -> String {
+    frame_summary(&Frame::parse(wire).expect("frame header intact"))
+}
+
 proptest! {
+    /// Capture summaries of plain and tunnelled UDP frames, intact,
+    /// with a corrupted UDP payload, and cut short, read exactly in the
+    /// sniffer's tcpdump-style format.
+    #[test]
+    fn sniff_summaries_of_udp_frames(
+        src in any::<u32>(), dst in any::<u32>(),
+        sp in any::<u16>(), dp in any::<u16>(),
+        payload_len in 0usize..256,
+        tunnel in any::<bool>(), osrc in any::<u32>(), odst in any::<u32>(),
+        flip in any::<proptest::sample::Index>(),
+        cut in any::<proptest::sample::Index>(),
+    ) {
+        let (src, dst) = (Ipv4Addr::from(src), Ipv4Addr::from(dst));
+        let tunnel = tunnel.then(|| (Ipv4Addr::from(osrc), Ipv4Addr::from(odst)));
+        let (wire, summary) = udp_frame(src, dst, (sp, dp), payload_len, tunnel);
+        prop_assert_eq!(summary_of(&wire), summary);
+
+        // A flipped bit in the UDP payload fails the UDP checksum only.
+        let udp_payload_at = wire.len() - payload_len;
+        if payload_len > 0 {
+            let mut bad = wire.clone();
+            bad[udp_payload_at + flip.index(payload_len)] ^= 0x01;
+            let inner = format!("{src} > {dst} UDP <bad checksum>");
+            let expected = match tunnel {
+                Some((osrc, odst)) => format!("IPIP {osrc} > {odst} | {inner}"),
+                None => inner,
+            };
+            prop_assert_eq!(summary_of(&bad), expected);
+        }
+
+        // Any cut inside the IP packet leaves the outer header claiming
+        // more than the frame holds.
+        let ip_at = 14;
+        let len = ip_at + cut.index(wire.len() - ip_at);
+        prop_assert_eq!(summary_of(&wire[..len]), "IP <malformed>");
+    }
+
     /// The routing table agrees with the naive longest-prefix model on
     /// prefix length and metric of the winner.
     #[test]

@@ -77,7 +77,13 @@ impl UdpDatagram {
     }
 
     /// Parses and verifies against the given pseudo-header addresses.
-    pub fn parse(buf: &[u8], src_ip: Ipv4Addr, dst_ip: Ipv4Addr) -> Result<UdpDatagram, WireError> {
+    ///
+    /// The payload is a slice of `buf`'s shared storage, not a copy.
+    pub fn parse(
+        buf: &Bytes,
+        src_ip: Ipv4Addr,
+        dst_ip: Ipv4Addr,
+    ) -> Result<UdpDatagram, WireError> {
         need(buf, UDP_HEADER_LEN)?;
         let len = usize::from(u16::from_be_bytes([buf[4], buf[5]]));
         if len < UDP_HEADER_LEN {
@@ -95,7 +101,7 @@ impl UdpDatagram {
         Ok(UdpDatagram {
             src_port: u16::from_be_bytes([buf[0], buf[1]]),
             dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-            payload: Bytes::copy_from_slice(&buf[UDP_HEADER_LEN..len]),
+            payload: buf.slice(UDP_HEADER_LEN..len),
         })
     }
 }
@@ -134,7 +140,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         assert_eq!(
-            UdpDatagram::parse(&bytes, SRC, DST),
+            UdpDatagram::parse(&bytes.into(), SRC, DST),
             Err(WireError::BadChecksum)
         );
     }
@@ -146,7 +152,7 @@ mod tests {
         bytes[6] = 0;
         bytes[7] = 0;
         // Must parse fine even with "wrong" addresses.
-        let back = UdpDatagram::parse(&bytes, DST, SRC).unwrap();
+        let back = UdpDatagram::parse(&bytes.into(), DST, SRC).unwrap();
         assert_eq!(back.payload, d.payload);
     }
 
@@ -163,14 +169,14 @@ mod tests {
         let d = UdpDatagram::new(1, 2, Bytes::from_static(b"abcdef"));
         let bytes = d.to_bytes(SRC, DST);
         assert!(matches!(
-            UdpDatagram::parse(&bytes[..5], SRC, DST),
+            UdpDatagram::parse(&bytes.slice(..5), SRC, DST),
             Err(WireError::Truncated { .. })
         ));
         let mut short_len = bytes.to_vec();
         short_len[4] = 0;
         short_len[5] = 4; // length < 8
         assert_eq!(
-            UdpDatagram::parse(&short_len, SRC, DST),
+            UdpDatagram::parse(&short_len.into(), SRC, DST),
             Err(WireError::BadLength)
         );
     }
@@ -180,6 +186,6 @@ mod tests {
         let d = UdpDatagram::new(1, 2, Bytes::from_static(b"pad me"));
         let mut bytes = d.to_bytes(SRC, DST).to_vec();
         bytes.extend_from_slice(&[0xAA; 16]);
-        assert_eq!(UdpDatagram::parse(&bytes, SRC, DST).unwrap(), d);
+        assert_eq!(UdpDatagram::parse(&bytes.into(), SRC, DST).unwrap(), d);
     }
 }

@@ -3,16 +3,89 @@
 //! Invariants: every packet we can construct round-trips through bytes;
 //! every single-bit corruption of a checksummed region is detected or
 //! yields a different parse (never a silent wrong-field success for the
-//! checksummed formats); encapsulation is size-exact and invertible.
+//! checksummed formats); encapsulation is size-exact and invertible; the
+//! IPv4, UDP and IP-in-IP parsers return payloads that are views into the
+//! parsed buffer and agree, value for value and error for error, with the
+//! copying parsers in [`copying`].
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
 use mosquitonet_wire::{
-    internet_checksum, ipip, keyed_mac, ArpOp, ArpPacket, AuthTlv, Cidr, IcmpMessage, IpProto,
-    Ipv4Header, Ipv4Packet, MacAddr, TcpFlags, TcpSegment, UdpDatagram, AUTH_TLV_LEN,
+    internet_checksum, ipip, keyed_mac, pseudo_header_sum, ArpOp, ArpPacket, AuthTlv, Cidr,
+    IcmpMessage, IpProto, Ipv4Header, Ipv4Packet, MacAddr, TcpFlags, TcpSegment, UdpDatagram,
+    WireError, AUTH_TLV_LEN, IPV4_HEADER_LEN,
 };
+
+/// Reference parsers that copy the payload out of a plain slice, as this
+/// crate's parsers did before they returned views into the input. The
+/// zero-copy parsers must give the same packet or the same error on every
+/// input.
+mod copying {
+    use super::*;
+
+    fn need(buf: &[u8], needed: usize) -> Result<(), WireError> {
+        if buf.len() < needed {
+            return Err(WireError::Truncated {
+                needed,
+                got: buf.len(),
+            });
+        }
+        Ok(())
+    }
+
+    pub fn ipv4(buf: &[u8]) -> Result<Ipv4Packet, WireError> {
+        let header = Ipv4Packet::parse_header_prefix(buf)?;
+        let total_len = usize::from(u16::from_be_bytes([buf[2], buf[3]]));
+        if total_len < IPV4_HEADER_LEN {
+            return Err(WireError::BadLength);
+        }
+        need(buf, total_len)?;
+        Ok(Ipv4Packet::new(
+            header,
+            Bytes::copy_from_slice(&buf[IPV4_HEADER_LEN..total_len]),
+        ))
+    }
+
+    pub fn udp(buf: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<UdpDatagram, WireError> {
+        need(buf, 8)?;
+        let len = usize::from(u16::from_be_bytes([buf[4], buf[5]]));
+        if len < 8 {
+            return Err(WireError::BadLength);
+        }
+        need(buf, len)?;
+        let stored_ck = u16::from_be_bytes([buf[6], buf[7]]);
+        if stored_ck != 0
+            && internet_checksum(&buf[..len], pseudo_header_sum(src, dst, 17, len as u16)) != 0
+        {
+            return Err(WireError::BadChecksum);
+        }
+        Ok(UdpDatagram::new(
+            u16::from_be_bytes([buf[0], buf[1]]),
+            u16::from_be_bytes([buf[2], buf[3]]),
+            Bytes::copy_from_slice(&buf[8..len]),
+        ))
+    }
+}
+
+/// True when `view` lies inside `buf`'s memory: a parsed payload that
+/// passes this was sliced out of the input, not copied.
+fn points_into(view: &[u8], buf: &[u8]) -> bool {
+    let (v, b) = (view.as_ptr_range(), buf.as_ptr_range());
+    b.start <= v.start && v.end <= b.end
+}
+
+/// `bytes` behind a 14-byte link header and followed by padding, returned
+/// as the whole buffer and the view of `bytes` inside it.
+fn framed(bytes: &[u8]) -> (Bytes, Bytes) {
+    let mut v = vec![0u8; 14];
+    v.extend_from_slice(bytes);
+    v.extend_from_slice(&[0u8; 6]);
+    let whole = Bytes::from(v);
+    let view = whole.slice(14..14 + bytes.len());
+    (whole, view)
+}
 
 fn arb_ipv4_addr() -> impl Strategy<Value = Ipv4Addr> {
     any::<u32>().prop_map(Ipv4Addr::from)
@@ -56,6 +129,13 @@ proptest! {
     fn ipv4_round_trips(pkt in arb_ipv4_packet()) {
         let bytes = pkt.to_bytes();
         let back = Ipv4Packet::parse(&bytes).unwrap();
+        prop_assert!(points_into(&back.payload, &bytes));
+        prop_assert_eq!(&back, &copying::ipv4(&bytes).unwrap());
+        prop_assert_eq!(back, pkt.clone());
+        // Parsed out of a frame: the payload still points into the frame.
+        let (frame, view) = framed(&bytes);
+        let back = Ipv4Packet::parse(&view).unwrap();
+        prop_assert!(points_into(&back.payload, &frame));
         prop_assert_eq!(back, pkt);
     }
 
@@ -65,8 +145,32 @@ proptest! {
         bytes[bit / 8] ^= 1 << (bit % 8);
         // Any single-bit flip in the header must fail the checksum
         // (or trip version/IHL/length validation first).
-        if let Ok(parsed) = Ipv4Packet::parse(&bytes) {
+        let parsed = Ipv4Packet::parse(&Bytes::copy_from_slice(&bytes));
+        prop_assert_eq!(&parsed, &copying::ipv4(&bytes));
+        if let Ok(parsed) = parsed {
             prop_assert!(false, "corrupted header parsed: {parsed:?}");
+        }
+    }
+
+    #[test]
+    fn ipv4_bad_total_length_matches_reference(pkt in arb_ipv4_packet(), total in any::<u16>()) {
+        // A total-length field the buffer cannot back, under a valid
+        // header checksum: below 20 is a bad length, above the buffer a
+        // truncation, anything else a shorter payload.
+        let mut bytes = pkt.to_bytes().to_vec();
+        bytes[2..4].copy_from_slice(&total.to_be_bytes());
+        bytes[10..12].fill(0);
+        let ck = internet_checksum(&bytes[..IPV4_HEADER_LEN], 0);
+        bytes[10..12].copy_from_slice(&ck.to_be_bytes());
+        let parsed = Ipv4Packet::parse(&Bytes::copy_from_slice(&bytes));
+        prop_assert_eq!(&parsed, &copying::ipv4(&bytes));
+        let total = usize::from(total);
+        if total < IPV4_HEADER_LEN {
+            prop_assert_eq!(parsed, Err(WireError::BadLength));
+        } else if total > bytes.len() {
+            prop_assert_eq!(parsed, Err(WireError::Truncated { needed: total, got: bytes.len() }));
+        } else {
+            prop_assert_eq!(parsed.unwrap().payload.len(), total - IPV4_HEADER_LEN);
         }
     }
 
@@ -77,7 +181,14 @@ proptest! {
         payload in arb_payload(256),
     ) {
         let d = UdpDatagram::new(sp, dp, payload);
-        let back = UdpDatagram::parse(&d.to_bytes(src, dst), src, dst).unwrap();
+        let bytes = d.to_bytes(src, dst);
+        let back = UdpDatagram::parse(&bytes, src, dst).unwrap();
+        prop_assert!(points_into(&back.payload, &bytes));
+        prop_assert_eq!(&back, &copying::udp(&bytes, src, dst).unwrap());
+        prop_assert_eq!(back, d.clone());
+        let (frame, view) = framed(&bytes);
+        let back = UdpDatagram::parse(&view, src, dst).unwrap();
+        prop_assert!(points_into(&back.payload, &frame));
         prop_assert_eq!(back, d);
     }
 
@@ -97,12 +208,33 @@ proptest! {
         // possible since data is untouched. So: a successful parse must
         // equal the original except possibly when the checksum field
         // itself was zeroed.
-        if let Ok(back) = UdpDatagram::parse(&bytes, src, dst) {
+        let parsed = UdpDatagram::parse(&Bytes::copy_from_slice(&bytes), src, dst);
+        prop_assert_eq!(&parsed, &copying::udp(&bytes, src, dst));
+        if let Ok(back) = parsed {
             let checksum_bits = 6 * 8..8 * 8;
             prop_assert!(
                 checksum_bits.contains(&bit),
                 "flip of bit {bit} accepted: {back:?}"
             );
+        }
+    }
+
+    #[test]
+    fn udp_bad_length_matches_reference(
+        src in arb_ipv4_addr(), dst in arb_ipv4_addr(),
+        payload in arb_payload(64),
+        len in any::<u16>(),
+    ) {
+        let d = UdpDatagram::new(1000, 2000, payload);
+        let mut bytes = d.to_bytes(src, dst).to_vec();
+        bytes[4..6].copy_from_slice(&len.to_be_bytes());
+        let parsed = UdpDatagram::parse(&Bytes::copy_from_slice(&bytes), src, dst);
+        prop_assert_eq!(&parsed, &copying::udp(&bytes, src, dst));
+        let len = usize::from(len);
+        if len < 8 {
+            prop_assert_eq!(parsed, Err(WireError::BadLength));
+        } else if len > bytes.len() {
+            prop_assert_eq!(parsed, Err(WireError::Truncated { needed: len, got: bytes.len() }));
         }
     }
 
@@ -157,7 +289,10 @@ proptest! {
         prop_assert_eq!(outer.total_len(), pkt.total_len() + ipip::ENCAP_OVERHEAD);
         prop_assert_eq!(outer.header.src, osrc);
         prop_assert_eq!(outer.header.dst, odst);
-        prop_assert_eq!(ipip::decapsulate(&outer).unwrap(), pkt);
+        let inner = ipip::decapsulate(&outer).unwrap();
+        prop_assert!(points_into(&inner.payload, &outer.payload));
+        prop_assert_eq!(&inner, &copying::ipv4(&outer.payload).unwrap());
+        prop_assert_eq!(inner, pkt);
     }
 
     #[test]
@@ -169,7 +304,10 @@ proptest! {
         let outer = ipip::encapsulate(&pkt, osrc, odst);
         let wire = outer.to_bytes();
         let reparsed = Ipv4Packet::parse(&wire).unwrap();
-        prop_assert_eq!(ipip::decapsulate(&reparsed).unwrap(), pkt);
+        let inner = ipip::decapsulate(&reparsed).unwrap();
+        // Both layers are views into the one received buffer.
+        prop_assert!(points_into(&inner.payload, &wire));
+        prop_assert_eq!(inner, pkt);
     }
 
     #[test]
@@ -206,11 +344,12 @@ proptest! {
 
     #[test]
     fn parse_never_panics_on_random_bytes(data in proptest::collection::vec(any::<u8>(), 0..128)) {
-        let _ = Ipv4Packet::parse(&data);
+        let bytes = Bytes::copy_from_slice(&data);
+        prop_assert_eq!(Ipv4Packet::parse(&bytes), copying::ipv4(&data));
         let _ = ArpPacket::parse(&data);
         let _ = IcmpMessage::parse(&data);
         let a = Ipv4Addr::new(1, 2, 3, 4);
-        let _ = UdpDatagram::parse(&data, a, a);
+        prop_assert_eq!(UdpDatagram::parse(&bytes, a, a), copying::udp(&data, a, a));
         let _ = TcpSegment::parse(&data, a, a);
     }
 
@@ -222,10 +361,9 @@ proptest! {
     fn ipv4_truncation_rejected(pkt in arb_ipv4_packet(), cut in any::<proptest::sample::Index>()) {
         let bytes = pkt.to_bytes();
         let len = cut.index(bytes.len()); // strictly shorter than the packet
-        prop_assert!(
-            Ipv4Packet::parse(&bytes[..len]).is_err(),
-            "prefix of {len} of {} parsed", bytes.len()
-        );
+        let parsed = Ipv4Packet::parse(&bytes.slice(..len));
+        prop_assert_eq!(&parsed, &copying::ipv4(&bytes[..len]));
+        prop_assert!(parsed.is_err(), "prefix of {len} of {} parsed", bytes.len());
     }
 
     #[test]
@@ -237,10 +375,9 @@ proptest! {
         let d = UdpDatagram::new(1000, 2000, payload);
         let bytes = d.to_bytes(src, dst);
         let len = cut.index(bytes.len());
-        prop_assert!(
-            UdpDatagram::parse(&bytes[..len], src, dst).is_err(),
-            "prefix of {len} of {} parsed", bytes.len()
-        );
+        let parsed = UdpDatagram::parse(&bytes.slice(..len), src, dst);
+        prop_assert_eq!(&parsed, &copying::udp(&bytes[..len], src, dst));
+        prop_assert!(parsed.is_err(), "prefix of {len} of {} parsed", bytes.len());
     }
 
     #[test]
@@ -267,7 +404,9 @@ proptest! {
             Ipv4Header::new(osrc, odst, IpProto::IpIp),
             Bytes::from(inner[..len].to_vec()),
         );
-        prop_assert!(ipip::decapsulate(&outer).is_err(), "inner prefix of {len} decapsulated");
+        let decapsulated = ipip::decapsulate(&outer);
+        prop_assert_eq!(&decapsulated, &copying::ipv4(&inner[..len]));
+        prop_assert!(decapsulated.is_err(), "inner prefix of {len} decapsulated");
     }
 
     // ---- corruption: ARP carries no checksum, but its fixed preamble

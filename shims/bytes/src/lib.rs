@@ -4,9 +4,13 @@
 //! minimal, API-compatible subset of `bytes`: [`Bytes`] (cheap-to-clone,
 //! immutable, sliceable), [`BytesMut`] (growable builder), and the
 //! [`BufMut`] write trait. Semantics match the real crate for every call
-//! site in this repository; performance characteristics are close enough
-//! for a discrete-event simulator (clone is an `Arc` bump, `slice` is a
-//! range narrowing, no copies).
+//! site in this repository. Costs: `clone` is an `Arc` bump and `slice` a
+//! range narrowing, neither allocates nor copies. Building a `Bytes` does:
+//! [`Bytes::copy_from_slice`] (and `From<&[u8]>`, `From<&str>`, arrays,
+//! [`Bytes::from_static`]) makes one allocation and one copy, while
+//! `From<Vec<u8>>`, `From<String>` and [`BytesMut::freeze`] move the
+//! vector into a fresh `Arc<[u8]>`, which is also one allocation and one
+//! copy (the real crate reuses the vector's storage instead).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,9 +40,14 @@ impl Bytes {
         Bytes::copy_from_slice(bytes)
     }
 
-    /// Creates `Bytes` by copying `data`.
+    /// Creates `Bytes` by copying `data` straight into its shared
+    /// storage (one allocation, one copy).
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes::from_vec(data.to_vec())
+        Bytes {
+            data: Arc::from(data),
+            start: 0,
+            end: data.len(),
+        }
     }
 
     fn from_vec(v: Vec<u8>) -> Bytes {
