@@ -465,33 +465,21 @@ impl HomeAgent {
                 ident: req.ident,
             },
         );
-        match outcome {
-            BindOutcome::ReplayRejected => unreachable!("handled above"),
-            BindOutcome::Created => {
-                ctx.fx.trace(format!(
-                    "registered {} at care-of {}",
-                    req.home_addr, req.care_of
-                ));
+        // The binding's history is the journal record above plus the
+        // `reg/*` counters; nothing here goes to the trace log.
+        if let BindOutcome::Moved { previous } = outcome {
+            if self.cfg.notify_previous {
+                let update = BindingUpdate {
+                    lifetime: 10,
+                    home_addr: req.home_addr,
+                    new_care_of: req.care_of,
+                };
+                ctx.fx.send_udp(
+                    self.sock.expect("bound"),
+                    (previous, REGISTRATION_PORT),
+                    update.to_bytes(),
+                );
             }
-            BindOutcome::Moved { previous } => {
-                ctx.fx.trace(format!(
-                    "moved {} from {} to {}",
-                    req.home_addr, previous, req.care_of
-                ));
-                if self.cfg.notify_previous {
-                    let update = BindingUpdate {
-                        lifetime: 10,
-                        home_addr: req.home_addr,
-                        new_care_of: req.care_of,
-                    };
-                    ctx.fx.send_udp(
-                        self.sock.expect("bound"),
-                        (previous, REGISTRATION_PORT),
-                        update.to_bytes(),
-                    );
-                }
-            }
-            BindOutcome::Refreshed => {}
         }
         self.reply(ctx, reply_to, ReplyCode::Accepted, granted, &req);
     }
@@ -536,10 +524,6 @@ impl HomeAgent {
             }
         }
         self.replicas_applied.inc();
-        ctx.fx.trace(format!(
-            "replica applied: {:?} {}",
-            replica.op, replica.home_addr
-        ));
     }
 }
 

@@ -6,12 +6,17 @@
 //! appends to and the harness filters afterwards.
 //!
 //! The log is unbounded, so it keeps control-plane records only: device
-//! state changes, DHCP, registration and binding changes, drops with
-//! their reason, and capture-mode frame summaries. Packets that go through
-//! a tunnel leave no record here: their encapsulation and decapsulation
+//! state changes, DHCP, mobile-host registration activity, home-agent
+//! deregistrations, binding expiries and restarts, drops with their
+//! reason, and capture-mode frame summaries. Packets that go through a
+//! tunnel leave no record here: their encapsulation and decapsulation
 //! hops go to the flight recorder's bounded ring
 //! ([`FlightRecorder`](crate::FlightRecorder)) and to the `ip/encap` and
-//! `ip/decap` counters.
+//! `ip/decap` counters. Neither do the bindings a home agent accepts or
+//! replicates: their history lives in the agent's write-ahead journal
+//! (`Bind` and `Unbind` records, each `Bind` with its timestamp) and in
+//! its `reg/*` counters (`accepted`, `replicas_sent`,
+//! `replicas_applied`).
 
 use crate::metrics::SnapshotDelta;
 use crate::time::SimTime;

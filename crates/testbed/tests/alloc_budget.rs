@@ -1,10 +1,13 @@
-//! Allocation budget of the reverse-tunnel data path.
+//! Allocation budgets of the reverse-tunnel data path and the
+//! registration path.
 //!
 //! A counting global allocator measures how many heap allocations one
 //! delivered datagram costs on its way mobile host → home agent (reverse
-//! tunnel, §3.2) → correspondent, and the test checks that the trace log
-//! keeps no per-packet records: its length must not grow with the number
-//! of datagrams carried.
+//! tunnel, §3.2) → correspondent, and how many one accepted registration
+//! costs at a home agent that replicates to a standby. Both tests also
+//! check that the trace log keeps no per-packet or per-binding records:
+//! its length must not grow with the datagrams carried or the bindings
+//! accepted.
 //!
 //! Counters are thread-local, so tests the harness runs on other threads
 //! never add to them.
@@ -12,14 +15,16 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
 use std::cell::Cell;
+use std::net::Ipv4Addr;
 
 use bytes::Bytes;
 use mosquitonet_core::{AddressPlan, SendMode, SwitchPlan, SwitchStyle};
 use mosquitonet_sim::SimDuration;
 use mosquitonet_stack::{self as stack, Module, ModuleCtx, SendOptions, SocketId, UdpBatchItem};
 use mosquitonet_testbed::topology::{
-    self, build, Testbed, TestbedConfig, CH_DEPT, COA_DEPT, ROUTER_DEPT,
+    self, build, Testbed, TestbedConfig, CH_DEPT, COA_DEPT, ROUTER_DEPT, ROUTER_HOME,
 };
+use mosquitonet_testbed::workload::{FleetChurn, RegistrationStorm};
 use mosquitonet_wire::Cidr;
 
 struct CountingAlloc;
@@ -226,6 +231,128 @@ fn reverse_tunnel_stays_within_its_allocation_budget() {
         trace_after_short - trace_before,
         trace_after_long - trace_after_short,
         "trace grew with the datagrams carried: {} entries over 100 ticks, {} over 300",
+        trace_after_short - trace_before,
+        trace_after_long - trace_after_short,
+    );
+}
+
+/// Registrations the churn source offers per tick; the home agent's
+/// 1.48 ms service time clears a burst well inside the 10 ms tick.
+const CHURN_BURST: u32 = 4;
+
+/// Home addresses the churn draws from (36.135.0.100 up).
+const CHURN_HOMES: u32 = 100;
+
+struct Churn {
+    tb: Testbed,
+    churn: stack::ModuleId,
+}
+
+impl Churn {
+    /// The department correspondent re-registering home addresses with
+    /// the home agent under a Zipf law, one burst per tick, alternating
+    /// each host's care-of address so most registrations move a binding.
+    /// The agent replicates every accepted binding to the standby. Every
+    /// request goes to the owning agent (the churn's misdirection target
+    /// is the agent itself), so there are no wrong-shard detours. One
+    /// registration outside the churned set goes first, so ARP is warm on
+    /// every hop before the first burst, and the churn runs one tick
+    /// before any measurement starts.
+    fn new(ticks: u32) -> Churn {
+        let mut tb = build(TestbedConfig {
+            seed: 1996,
+            with_standby_ha: true,
+            ..TestbedConfig::default()
+        });
+        let ch = tb.ch_dept;
+        let warm = RegistrationStorm::new(ROUTER_HOME, Ipv4Addr::new(36, 135, 0, 99), 1, CH_DEPT);
+        stack::add_module(&mut tb.sim, ch, Box::new(warm));
+        tb.run_for(SimDuration::from_secs(1));
+        let homes = (0..CHURN_HOMES)
+            .map(|i| Ipv4Addr::new(36, 135, 0, 100 + i as u8))
+            .collect();
+        let source = FleetChurn::new(
+            ROUTER_HOME,
+            ROUTER_HOME,
+            homes,
+            CHURN_BURST,
+            TICK,
+            ticks + 1,
+            1996,
+        );
+        let churn = stack::add_module(&mut tb.sim, ch, Box::new(source));
+        tb.run_for(TICK);
+        Churn { tb, churn }
+    }
+
+    fn module(&mut self) -> &mut FleetChurn {
+        let ch = self.tb.ch_dept;
+        self.tb
+            .sim
+            .world_mut()
+            .host_mut(ch)
+            .module_mut(self.churn)
+            .expect("churn module")
+    }
+
+    /// Trace entries other than drops.
+    fn control_records(&self) -> usize {
+        self.tb
+            .sim
+            .trace()
+            .entries()
+            .iter()
+            .filter(|e| !e.detail.starts_with("drop."))
+            .count()
+    }
+}
+
+/// Allocations per accepted registration at an agent with a standby,
+/// counting the churn source, the stack and both agents: the path makes
+/// 39.8, and the budget leaves about 5 % above that. A trace record per
+/// accepted binding and per applied replica cost 45.7.
+const ALLOCATIONS_PER_REGISTRATION_BUDGET: f64 = 42.0;
+
+#[test]
+fn registration_path_stays_within_its_allocation_budget() {
+    const SHORT: u32 = 50;
+    let mut c = Churn::new(SHORT + 3 * SHORT);
+
+    let accepted_before = c.module().accepted;
+    let trace_before = c.control_records();
+    let allocations = allocations_during(|| c.tb.run_for(TICK * u64::from(SHORT)));
+    let accepted = c.module().accepted - accepted_before;
+    let trace_after_short = c.control_records();
+    c.tb.run_for(TICK * u64::from(3 * SHORT));
+    let accepted_long = c.module().accepted - accepted_before - accepted;
+    let trace_after_long = c.control_records();
+    c.tb.run_for(SimDuration::from_millis(100));
+
+    let sent = c.module().sent;
+    assert_eq!(c.module().denied, 0, "no registration is denied");
+    assert_eq!(c.module().accepted, sent, "every registration is accepted");
+    assert!(
+        accepted > u64::from(2 * SHORT) && accepted_long > 2 * accepted,
+        "the storm must carry registrations: {accepted} then {accepted_long}"
+    );
+    assert_eq!(
+        c.tb.standby_module().replicas_applied.get(),
+        c.tb.ha_module().replicas_sent.get(),
+        "the standby applies every replica"
+    );
+    let per_registration = allocations as f64 / accepted as f64;
+    assert!(
+        per_registration <= ALLOCATIONS_PER_REGISTRATION_BUDGET,
+        "{per_registration:.2} allocations per accepted registration \
+         ({allocations} for {accepted}), budget {ALLOCATIONS_PER_REGISTRATION_BUDGET}"
+    );
+    // Binding history lives in the agents' journals and `reg/*`
+    // counters; the trace log keeps control-plane events that do not
+    // scale with the registrations accepted.
+    assert_eq!(
+        trace_after_short - trace_before,
+        trace_after_long - trace_after_short,
+        "trace grew with the registrations accepted: {} entries for {accepted}, {} for {accepted_long}",
         trace_after_short - trace_before,
         trace_after_long - trace_after_short,
     );

@@ -1,6 +1,7 @@
-//! Documentation-sync checks: drop-reason codes against
-//! `docs/telemetry.md`, and the experiment roster in `EXPERIMENTS.md`
-//! against the actual binaries and the sidecars they write.
+//! Documentation-sync checks: drop-reason codes and the home agent's
+//! `reg/*` counters against `docs/telemetry.md`, and the experiment
+//! roster in `EXPERIMENTS.md` against the actual binaries and the
+//! sidecars they write.
 //!
 //! Drop reasons are stable, greppable tokens: the same `drop.{reason}`
 //! string appears in trace lines, metric names, and flight-recorder hop
@@ -8,8 +9,13 @@
 //! code used anywhere in workspace source must appear there — a new drop
 //! site without a doc row fails this test.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
+
+use mosquitonet_core::{DirectoryEntry, HomeAgent, HomeAgentConfig, ShardDirectory};
+use mosquitonet_sim::MetricsRegistry;
+use mosquitonet_stack::{IfaceId, Module};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -92,6 +98,61 @@ fn every_drop_code_in_source_is_documented_in_telemetry_md() {
         missing.is_empty(),
         "drop codes used in source but missing from docs/telemetry.md: \
          {missing:?} — every stable drop.{{reason}} code needs a row there"
+    );
+}
+
+/// Every counter a home agent registers under `{host}/reg/` is named in
+/// the HA part of `docs/telemetry.md`'s `{host}/reg/…` row. The agent is
+/// keyed and fleet-configured, so the counters that register only on
+/// such agents are listed too.
+#[test]
+fn every_home_agent_reg_counter_is_documented_in_telemetry_md() {
+    let mut cfg = HomeAgentConfig::new(
+        Ipv4Addr::new(36, 135, 0, 1),
+        IfaceId(0),
+        "36.135.0.0/24".parse().expect("cidr"),
+    );
+    cfg.auth_keys = HashMap::from([(Ipv4Addr::new(36, 135, 0, 9), (0x100, 7))]);
+    cfg.require_auth = true;
+    let shard = DirectoryEntry {
+        shard: 0,
+        active: Ipv4Addr::new(36, 135, 0, 1),
+        standby: Ipv4Addr::new(36, 135, 0, 3),
+    };
+    cfg.fleet = Some((0, ShardDirectory::new(1, [shard])));
+    let registry = MetricsRegistry::new();
+    HomeAgent::new(cfg).register_metrics(&registry.scope("ha"));
+    let counters: Vec<String> = registry
+        .names()
+        .into_iter()
+        .filter_map(|path| path.strip_prefix("ha/reg/").map(str::to_string))
+        .collect();
+    // Scanner sanity: an always-registered counter and each conditional one.
+    for known in ["processed", "auth_fail", "wrong_shard"] {
+        assert!(
+            counters.iter().any(|c| c == known),
+            "the agent did not register reg/{known}: {counters:?}"
+        );
+    }
+
+    let doc = std::fs::read_to_string(workspace_root().join("docs/telemetry.md"))
+        .expect("docs/telemetry.md");
+    let row = doc
+        .lines()
+        .find(|l| l.starts_with("| `{host}/reg/…`"))
+        .expect("telemetry.md has a {host}/reg/… row");
+    let ha = row
+        .split_once("HA:")
+        .and_then(|(_, rest)| rest.split(';').next())
+        .expect("the reg row has an HA part");
+    let missing: Vec<&String> = counters
+        .iter()
+        .filter(|c| !ha.contains(&format!("`{c}`")))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "home-agent counters registered under reg/ but missing from the HA part \
+         of docs/telemetry.md's {{host}}/reg/… row: {missing:?}"
     );
 }
 
