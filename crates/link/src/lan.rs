@@ -8,10 +8,15 @@ use crate::fault::FaultPlan;
 use mosquitonet_sim::{SimDuration, SimRng};
 use mosquitonet_wire::MacAddr;
 
-/// Opaque key identifying an attachment point (the world maps it back to a
-/// `(host, device)` pair).
+/// The attached device, named by the world's `(host, interface)` indices.
+/// An interface is on at most one LAN at a time, so the pair is unique.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct AttachmentKey(pub u64);
+pub struct AttachmentKey {
+    /// The host's index in the world.
+    pub host: usize,
+    /// The interface's index on that host.
+    pub iface: usize,
+}
 
 /// One device attached to a LAN.
 #[derive(Clone, Copy, Debug)]
@@ -23,6 +28,16 @@ pub struct Attachment {
     /// Promiscuous attachments receive all frames (used by packet-capture
     /// style diagnostics, not by normal hosts).
     pub promiscuous: bool,
+}
+
+impl Attachment {
+    /// Does this attachment receive a frame for `dst` sent by the
+    /// attachment owning `src_mac`? The sender never receives its own
+    /// frame; everyone else receives broadcasts, frames for their MAC, and
+    /// (when promiscuous) every frame.
+    pub fn receives(&self, dst: MacAddr, src_mac: MacAddr) -> bool {
+        self.mac != src_mac && (dst.is_broadcast() || self.mac == dst || self.promiscuous)
+    }
 }
 
 /// One-way medium delay: `base ± jitter`, uniformly distributed.
@@ -82,14 +97,17 @@ pub enum LanKind {
 ///
 /// let mut lan = Lan::new("net-36-135", LanKind::Ethernet,
 ///     DelayModel::fixed(SimDuration::from_micros(50)), 0.0);
-/// lan.attach(Attachment { key: AttachmentKey(1), mac: MacAddr::from_index(1), promiscuous: false });
-/// lan.attach(Attachment { key: AttachmentKey(2), mac: MacAddr::from_index(2), promiscuous: false });
+/// for host in 1..=2 {
+///     let key = AttachmentKey { host, iface: 0 };
+///     lan.attach(Attachment { key, mac: MacAddr::from_index(host as u32), promiscuous: false });
+/// }
+/// let [a1, a2] = lan.attachments() else { unreachable!() };
 ///
 /// // Unicast reaches only the owner of the MAC; broadcast reaches everyone else.
-/// let to_two = lan.recipients(MacAddr::from_index(2), MacAddr::from_index(1));
-/// assert_eq!(to_two, vec![AttachmentKey(2)]);
-/// let bcast = lan.recipients(MacAddr::BROADCAST, MacAddr::from_index(1));
-/// assert_eq!(bcast, vec![AttachmentKey(2)]);
+/// assert!(a2.receives(MacAddr::from_index(2), a1.mac));
+/// assert!(!a1.receives(MacAddr::from_index(2), a1.mac));
+/// assert!(a2.receives(MacAddr::BROADCAST, a1.mac));
+/// assert!(!a1.receives(MacAddr::BROADCAST, a1.mac));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Lan {
@@ -212,15 +230,10 @@ impl Lan {
         self.attachments.is_empty()
     }
 
-    /// Who receives a frame for `dst`, sent by the attachment owning
-    /// `src_mac`? The sender never receives its own frame.
-    pub fn recipients(&self, dst: MacAddr, src_mac: MacAddr) -> Vec<AttachmentKey> {
-        self.attachments
-            .iter()
-            .filter(|a| a.mac != src_mac)
-            .filter(|a| dst.is_broadcast() || a.mac == dst || a.promiscuous)
-            .map(|a| a.key)
-            .collect()
+    /// The attachments, in attachment order. A frame's recipients are the
+    /// ones that [`Attachment::receives`] it, walked in this order.
+    pub fn attachments(&self) -> &[Attachment] {
+        &self.attachments
     }
 
     /// Draws the one-way delay for one delivery.
@@ -252,6 +265,19 @@ mod tests {
     use super::*;
     use mosquitonet_sim::SimRng;
 
+    fn key(i: usize) -> AttachmentKey {
+        AttachmentKey { host: i, iface: 0 }
+    }
+
+    /// Keys of the attachments that receive a frame, in walk order.
+    fn recipients(lan: &Lan, dst: MacAddr, src_mac: MacAddr) -> Vec<AttachmentKey> {
+        lan.attachments()
+            .iter()
+            .filter(|a| a.receives(dst, src_mac))
+            .map(|a| a.key)
+            .collect()
+    }
+
     fn lan3() -> Lan {
         let mut lan = Lan::new(
             "test",
@@ -261,7 +287,7 @@ mod tests {
         );
         for i in 1..=3 {
             lan.attach(Attachment {
-                key: AttachmentKey(i),
+                key: key(i),
                 mac: MacAddr::from_index(i as u32),
                 promiscuous: false,
             });
@@ -272,21 +298,21 @@ mod tests {
     #[test]
     fn unicast_reaches_only_target() {
         let lan = lan3();
-        let r = lan.recipients(MacAddr::from_index(3), MacAddr::from_index(1));
-        assert_eq!(r, vec![AttachmentKey(3)]);
+        let r = recipients(&lan, MacAddr::from_index(3), MacAddr::from_index(1));
+        assert_eq!(r, vec![key(3)]);
     }
 
     #[test]
     fn broadcast_reaches_everyone_but_sender() {
         let lan = lan3();
-        let r = lan.recipients(MacAddr::BROADCAST, MacAddr::from_index(2));
-        assert_eq!(r, vec![AttachmentKey(1), AttachmentKey(3)]);
+        let r = recipients(&lan, MacAddr::BROADCAST, MacAddr::from_index(2));
+        assert_eq!(r, vec![key(1), key(3)]);
     }
 
     #[test]
     fn unknown_unicast_reaches_nobody() {
         let lan = lan3();
-        let r = lan.recipients(MacAddr::from_index(99), MacAddr::from_index(1));
+        let r = recipients(&lan, MacAddr::from_index(99), MacAddr::from_index(1));
         assert!(r.is_empty());
     }
 
@@ -294,22 +320,22 @@ mod tests {
     fn promiscuous_attachment_sees_unicast_for_others() {
         let mut lan = lan3();
         lan.attach(Attachment {
-            key: AttachmentKey(9),
+            key: key(9),
             mac: MacAddr::from_index(9),
             promiscuous: true,
         });
-        let r = lan.recipients(MacAddr::from_index(3), MacAddr::from_index(1));
-        assert_eq!(r, vec![AttachmentKey(3), AttachmentKey(9)]);
+        let r = recipients(&lan, MacAddr::from_index(3), MacAddr::from_index(1));
+        assert_eq!(r, vec![key(3), key(9)]);
     }
 
     #[test]
     fn detach_removes_and_reports() {
         let mut lan = lan3();
-        assert!(lan.detach(AttachmentKey(2)));
-        assert!(!lan.detach(AttachmentKey(2)));
+        assert!(lan.detach(key(2)));
+        assert!(!lan.detach(key(2)));
         assert_eq!(lan.len(), 2);
-        let r = lan.recipients(MacAddr::BROADCAST, MacAddr::from_index(1));
-        assert_eq!(r, vec![AttachmentKey(3)]);
+        let r = recipients(&lan, MacAddr::BROADCAST, MacAddr::from_index(1));
+        assert_eq!(r, vec![key(3)]);
     }
 
     #[test]
@@ -317,7 +343,7 @@ mod tests {
     fn double_attach_panics() {
         let mut lan = lan3();
         lan.attach(Attachment {
-            key: AttachmentKey(1),
+            key: key(1),
             mac: MacAddr::from_index(10),
             promiscuous: false,
         });
@@ -326,23 +352,23 @@ mod tests {
     #[test]
     fn set_mac_updates_addressing() {
         let mut lan = lan3();
-        assert!(lan.set_mac(AttachmentKey(2), MacAddr::from_index(42)));
-        assert!(!lan.set_mac(AttachmentKey(77), MacAddr::from_index(1)));
-        let r = lan.recipients(MacAddr::from_index(42), MacAddr::from_index(1));
-        assert_eq!(r, vec![AttachmentKey(2)]);
+        assert!(lan.set_mac(key(2), MacAddr::from_index(42)));
+        assert!(!lan.set_mac(key(77), MacAddr::from_index(1)));
+        let r = recipients(&lan, MacAddr::from_index(42), MacAddr::from_index(1));
+        assert_eq!(r, vec![key(2)]);
     }
 
     #[test]
     fn set_mac_to_own_current_mac_is_fine() {
         let mut lan = lan3();
-        assert!(lan.set_mac(AttachmentKey(2), MacAddr::from_index(2)));
+        assert!(lan.set_mac(key(2), MacAddr::from_index(2)));
     }
 
     #[test]
     #[should_panic(expected = "already on")]
     fn set_mac_to_colliding_mac_panics() {
         let mut lan = lan3();
-        lan.set_mac(AttachmentKey(2), MacAddr::from_index(3));
+        lan.set_mac(key(2), MacAddr::from_index(3));
     }
 
     #[test]

@@ -1,9 +1,27 @@
 //! The discrete-event engine: a future-event queue over a user world.
+//!
+//! # The event queue
+//!
+//! Pending events live in a slot table: a `Vec` of slots, each holding one
+//! event's handler and the sequence number it was scheduled under, plus a
+//! free list of vacant slots. An [`EventId`] packs a slot index with the
+//! slot's *generation*, which is bumped whenever the slot is vacated (its
+//! event fired or was cancelled). An id whose event fired, was cancelled,
+//! or whose slot now holds another event no longer matches, so
+//! [`Sim::cancel`] reports `false` for it. No id is ever hashed.
+//!
+//! A binary heap orders 24-byte `(at, seq, slot)` keys. `seq` is bumped on
+//! every scheduling call, so same-instant events pop in scheduling (FIFO)
+//! order. Cancelling vacates the slot at once and leaves its key in the
+//! heap as a tombstone, recognised when it surfaces because the slot no
+//! longer holds that `seq`. Tombstones are reclaimed eagerly: whenever the
+//! heap holds more than `2 · live + 64` keys it is rebuilt from the live
+//! keys alone. A timer that is re-armed on every packet therefore leaves
+//! at most a bounded number of dead keys behind, and scheduling or popping
+//! an event costs O(log live events).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::flightrec::{FlightRecorder, HopAction};
 use crate::metrics::MetricsRegistry;
@@ -12,50 +30,57 @@ use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
 
-/// Identifier of a scheduled event, usable to cancel it before it fires.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+/// Identifier of a scheduled event, usable to cancel it before it fires:
+/// a slot index (low 32 bits) and that slot's generation when the event
+/// was scheduled (high 32 bits).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventId(u64);
 
-/// Hasher for [`EventId`] sets. Ids are dense `u64`s handed out in
-/// order, so one multiply by an odd constant (Fibonacci hashing) spreads
-/// them over both the bucket index (low bits, a bijection for any table
-/// size) and the tag bits (high bits) at a fraction of SipHash's cost.
-/// Nothing adversarial chooses the ids.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
+impl EventId {
+    fn new(slot: u32, generation: u32) -> EventId {
+        EventId(u64::from(generation) << 32 | u64::from(slot))
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
+    fn slot(self) -> usize {
+        (self.0 & u64::from(u32::MAX)) as usize
     }
 
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
     }
 }
 
-type IdSet = HashSet<EventId, BuildHasherDefault<IdHasher>>;
+/// Dead heap keys tolerated beyond the live ones before the heap is
+/// rebuilt (see the module docs).
+const TOMBSTONE_SLACK: usize = 64;
 
 type EventFn<W> = Box<dyn FnOnce(&mut Sim<W>)>;
 
-struct QueuedEvent<W> {
-    at: SimTime,
-    id: EventId,
-    run: EventFn<W>,
+/// One entry of the slot table.
+struct Slot<W> {
+    /// Bumped each time the slot is vacated; an [`EventId`] names the
+    /// slot's occupant only while its generation matches.
+    generation: u32,
+    /// Scheduling sequence number of the occupant (stale while vacant).
+    seq: u64,
+    /// The occupant's handler; `None` while the slot is vacant.
+    run: Option<EventFn<W>>,
 }
 
-/// Key ordering: earliest time first; FIFO among same-time events (ids
-/// are allocated in scheduling order).
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
+/// Heap key ordering: earliest time first; FIFO among same-time events
+/// (`seq` grows with every scheduling call and is never reused).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct EventKey {
     at: SimTime,
-    id: EventId,
+    seq: u64,
+    slot: u32,
+}
+
+/// True when `key` still names the occupant of its slot, i.e. the event
+/// was neither cancelled nor has its slot been vacated since.
+fn is_live<W>(slots: &[Slot<W>], key: &EventKey) -> bool {
+    let slot = &slots[key.slot as usize];
+    slot.seq == key.seq && slot.run.is_some()
 }
 
 /// A discrete-event simulation over a world of type `W`.
@@ -68,15 +93,17 @@ struct EventKey {
 /// which keeps runs reproducible regardless of heap internals.
 pub struct Sim<W> {
     now: SimTime,
-    /// One counter serves both as the next [`EventId`] and as the FIFO
-    /// tie-break among same-time events (ids are handed out in scheduling
-    /// order, so they are the same ordering).
-    next_id: u64,
-    queue: BinaryHeap<Reverse<HeapEntry<W>>>,
-    /// Ids of events still in the queue and not cancelled.
-    queued: IdSet,
-    /// Ids cancelled while queued; their heap entries are skipped lazily.
-    cancelled: IdSet,
+    /// Sequence number of the next scheduled event: the FIFO tie-break
+    /// among same-time events.
+    next_seq: u64,
+    /// Keys of pending events, plus tombstones of cancelled ones.
+    heap: BinaryHeap<Reverse<EventKey>>,
+    /// The slot table the heap keys and [`EventId`]s index.
+    slots: Vec<Slot<W>>,
+    /// Vacant slot indices.
+    free: Vec<u32>,
+    /// Events pending and not cancelled.
+    live: usize,
     world: W,
     rng: SimRng,
     trace: Trace,
@@ -92,33 +119,6 @@ pub struct Sim<W> {
     batches_executed: u64,
 }
 
-struct HeapEntry<W>(QueuedEvent<W>);
-
-impl<W> PartialEq for HeapEntry<W> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<W> Eq for HeapEntry<W> {}
-impl<W> PartialOrd for HeapEntry<W> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<W> Ord for HeapEntry<W> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-impl<W> HeapEntry<W> {
-    fn key(&self) -> EventKey {
-        EventKey {
-            at: self.0.at,
-            id: self.0.id,
-        }
-    }
-}
-
 impl<W> Sim<W> {
     /// Creates a simulation over `world` with the default RNG seed.
     pub fn new(world: W) -> Self {
@@ -132,10 +132,11 @@ impl<W> Sim<W> {
     pub fn with_seed(world: W, seed: u64) -> Self {
         Sim {
             now: SimTime::ZERO,
-            next_id: 0,
-            queue: BinaryHeap::new(),
-            queued: IdSet::default(),
-            cancelled: IdSet::default(),
+            next_seq: 0,
+            heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
             world,
             rng: SimRng::new(seed),
             trace: Trace::new(),
@@ -246,7 +247,7 @@ impl<W> Sim<W> {
 
     /// Number of events currently pending (cancelled events excluded).
     pub fn pending_events(&self) -> usize {
-        self.queued.len()
+        self.live
     }
 
     /// Schedules `f` to run at absolute time `at`.
@@ -261,15 +262,26 @@ impl<W> Sim<W> {
             "event scheduled in the past: {at:?} < {:?}",
             self.now
         );
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        self.queued.insert(id);
-        self.queue.push(Reverse(HeapEntry(QueuedEvent {
-            at,
-            id,
-            run: Box::new(f),
-        })));
-        id
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 pending events");
+                self.slots.push(Slot {
+                    generation: 0,
+                    seq,
+                    run: None,
+                });
+                slot
+            }
+        };
+        let entry = &mut self.slots[slot as usize];
+        entry.seq = seq;
+        entry.run = Some(Box::new(f));
+        self.live += 1;
+        self.heap.push(Reverse(EventKey { at, seq, slot }));
+        EventId::new(slot, entry.generation)
     }
 
     /// Schedules `f` to run `delay` after the current time.
@@ -284,40 +296,59 @@ impl<W> Sim<W> {
     /// Cancels a previously scheduled event.
     ///
     /// Returns `true` if the event had not yet fired. Cancelling an already
-    /// executed (or already cancelled) event returns `false` and is harmless.
+    /// executed (or already cancelled) event returns `false` and is
+    /// harmless, also after a later event has reused its slot.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        // Lazy deletion: the heap entry stays but is skipped when popped.
-        if self.queued.remove(&id) {
-            self.cancelled.insert(id);
-            true
-        } else {
-            false
+        let pending = self
+            .slots
+            .get(id.slot())
+            .is_some_and(|slot| slot.generation == id.generation() && slot.run.is_some());
+        if pending {
+            // The handler is dropped now; its heap key stays behind as a
+            // tombstone until it surfaces or the heap is rebuilt.
+            drop(self.vacate(id.slot()));
         }
+        pending
+    }
+
+    /// Takes the handler out of an occupied slot and frees the slot,
+    /// bumping its generation so ids naming the old occupant go stale.
+    /// Rebuilds the heap when tombstones outnumber live keys.
+    fn vacate(&mut self, slot: usize) -> EventFn<W> {
+        let entry = &mut self.slots[slot];
+        entry.generation = entry.generation.wrapping_add(1);
+        let run = entry.run.take().expect("vacated slot was occupied");
+        self.free.push(slot as u32);
+        self.live -= 1;
+        if self.heap.len() > 2 * self.live + TOMBSTONE_SLACK {
+            let slots = &self.slots;
+            self.heap.retain(|Reverse(key)| is_live(slots, key));
+        }
+        run
     }
 
     /// Pops the next runnable event if it is due by `deadline` (any time
     /// when `None`). The head is inspected before it is popped, so a
     /// window that ends with nothing due leaves the queue as it was.
-    fn pop_due(&mut self, deadline: Option<SimTime>) -> Option<QueuedEvent<W>> {
+    fn pop_due(&mut self, deadline: Option<SimTime>) -> Option<(SimTime, EventFn<W>)> {
         let at = self.next_event_at()?;
         if deadline.is_some_and(|d| at > d) {
             return None;
         }
-        // `next_event_at` discarded cancelled heads, so the head runs.
-        let Reverse(HeapEntry(ev)) = self.queue.pop()?;
-        self.queued.remove(&ev.id);
-        Some(ev)
+        // `next_event_at` discarded tombstoned heads, so the head runs.
+        let Reverse(key) = self.heap.pop()?;
+        Some((at, self.vacate(key.slot as usize)))
     }
 
     /// Runs a single event if one is pending. Returns `false` when idle.
     pub fn step(&mut self) -> bool {
         match self.pop_due(None) {
-            Some(ev) => {
-                debug_assert!(ev.at >= self.now);
-                self.now = ev.at;
+            Some((at, run)) => {
+                debug_assert!(at >= self.now);
+                self.now = at;
                 self.events_executed += 1;
                 let t0 = self.profiler.begin();
-                (ev.run)(self);
+                run(self);
                 self.profiler.end_tick(t0);
                 true
             }
@@ -325,59 +356,32 @@ impl<W> Sim<W> {
         }
     }
 
-    /// Drains the full batch of events scheduled at the next runnable
+    /// Runs the full batch of events scheduled at the next runnable
     /// instant (bounded by `deadline` when given), including same-instant
     /// events the batch members schedule mid-batch. Returns `false` when
     /// no runnable event at or before the deadline remains.
     ///
     /// Execution order is identical to repeated [`Sim::step`]: the heap
-    /// pops same-time entries in id (FIFO) order, and events scheduled
-    /// mid-batch get strictly larger ids than everything already drained.
+    /// pops same-time keys in `seq` (FIFO) order, events scheduled
+    /// mid-batch get larger `seq` than everything already queued, and an
+    /// event a batch member cancels is a tombstone by the time it
+    /// surfaces.
     fn run_batch(&mut self, deadline: Option<SimTime>) -> bool {
-        let Some(first) = self.pop_due(deadline) else {
+        let Some((batch_at, first)) = self.pop_due(deadline) else {
             return false;
         };
-        debug_assert!(first.at >= self.now);
-        let batch_at = first.at;
+        debug_assert!(batch_at >= self.now);
         self.now = batch_at;
         let t0 = self.profiler.begin();
-        self.events_executed += 1;
-        let mut in_batch: u64 = 1;
-        (first.run)(self);
-        let mut drained: Vec<QueuedEvent<W>> = Vec::new();
-        loop {
-            // Pull every remaining same-instant entry off the heap. Ids
-            // stay in `queued` until the event actually runs, so
-            // `pending_events` and `cancel` observe the same states as
-            // the unbatched path.
-            while let Some(Reverse(entry)) = self.queue.peek() {
-                if entry.0.at != batch_at {
-                    break;
-                }
-                let Some(Reverse(HeapEntry(ev))) = self.queue.pop() else {
-                    break;
-                };
-                if self.cancelled.remove(&ev.id) {
-                    continue;
-                }
-                drained.push(ev);
-            }
-            if drained.is_empty() {
-                break;
-            }
-            for ev in drained.drain(..) {
-                // A batch member may have cancelled a later same-instant
-                // event after it was drained; honor that here.
-                if !self.queued.remove(&ev.id) {
-                    self.cancelled.remove(&ev.id);
-                    continue;
-                }
-                self.events_executed += 1;
-                in_batch += 1;
-                (ev.run)(self);
-            }
-            // Loop again: batch members may have scheduled new events at
-            // this same instant (with larger ids, preserving FIFO).
+        let mut in_batch: u64 = 0;
+        let mut next = Some(first);
+        while let Some(run) = next {
+            self.events_executed += 1;
+            in_batch += 1;
+            run(self);
+            // Nothing can be scheduled before `now`, so every event due
+            // by `batch_at` is at `batch_at`.
+            next = self.pop_due(Some(batch_at)).map(|(_, run)| run);
         }
         self.profiler.end_batch(t0, in_batch);
         self.batches_executed += 1;
@@ -393,18 +397,15 @@ impl<W> Sim<W> {
         }
     }
 
-    /// Time of the next runnable event, or `None` when the queue holds
-    /// nothing but cancelled entries. Cancelled heads encountered along
-    /// the way are discarded, which is why this takes `&mut self`.
+    /// Time of the next runnable event, or `None` when nothing is
+    /// pending. Tombstoned heads encountered along the way are discarded,
+    /// which is why this takes `&mut self`.
     pub fn next_event_at(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(entry)) = self.queue.peek() {
-            let id = entry.0.id;
-            if self.cancelled.contains(&id) {
-                self.queue.pop();
-                self.cancelled.remove(&id);
-                continue;
+        while let Some(&Reverse(key)) = self.heap.peek() {
+            if is_live(&self.slots, &key) {
+                return Some(key.at);
             }
-            return Some(entry.0.at);
+            self.heap.pop();
         }
         None
     }
@@ -447,11 +448,11 @@ impl<W> Sim<W> {
         if self.batching {
             while self.run_batch(Some(deadline)) {}
         } else {
-            while let Some(ev) = self.pop_due(Some(deadline)) {
-                self.now = ev.at;
+            while let Some((at, run)) = self.pop_due(Some(deadline)) {
+                self.now = at;
                 self.events_executed += 1;
                 let t0 = self.profiler.begin();
-                (ev.run)(self);
+                run(self);
                 self.profiler.end_tick(t0);
             }
         }
@@ -535,6 +536,43 @@ mod tests {
     fn cancel_unknown_id_is_false() {
         let mut sim = Sim::new(());
         assert!(!sim.cancel(EventId(999)));
+    }
+
+    #[test]
+    fn stale_ids_do_not_cancel_a_reused_slot() {
+        let mut sim = Sim::new(0u32);
+        let fired = sim.schedule_in(SimDuration::from_millis(1), |sim| *sim.world_mut() += 1);
+        sim.run();
+        let cancelled = sim.schedule_in(SimDuration::from_millis(1), |_| {});
+        assert!(sim.cancel(cancelled));
+        // Both slots are free again; this event reuses one of them.
+        let live = sim.schedule_in(SimDuration::from_millis(1), |sim| *sim.world_mut() += 10);
+        assert!(!sim.cancel(fired), "fired id");
+        assert!(!sim.cancel(cancelled), "cancelled id");
+        assert_eq!(sim.pending_events(), 1);
+        sim.run();
+        assert_eq!(*sim.world(), 11);
+        assert!(!sim.cancel(live));
+    }
+
+    #[test]
+    fn rearming_a_timer_keeps_tombstones_bounded() {
+        let mut sim = Sim::new(());
+        let mut timer = sim.schedule_in(SimDuration::from_secs(300), |_| {});
+        for i in 0..100_000u64 {
+            assert!(sim.cancel(timer));
+            timer = sim.schedule_in(SimDuration::from_secs(300 + i), |_| {});
+            assert!(
+                sim.heap.len() <= 2 * sim.pending_events() + TOMBSTONE_SLACK,
+                "{} heap keys for {} live events",
+                sim.heap.len(),
+                sim.pending_events()
+            );
+        }
+        assert_eq!(sim.pending_events(), 1);
+        assert!(sim.slots.len() <= 2, "slots are reused");
+        sim.run();
+        assert_eq!(sim.events_executed(), 1);
     }
 
     #[test]

@@ -270,8 +270,12 @@ pub struct FlightRecorder {
     head: usize,
     /// Hop events lost to wraparound.
     overwritten: u64,
-    /// Origin labels for tagged flights (registration traffic etc.).
-    labels: HashMap<u64, &'static str>,
+    /// Origin labels of tagged flights (registration traffic etc.),
+    /// sorted by flight id; pruned as the ring moves on (see
+    /// [`FlightRecorder::begin_flight`]).
+    labels: Vec<(u64, &'static str)>,
+    /// Label count at which `begin_flight` next prunes `labels`.
+    prune_labels_at: usize,
     /// Captured frames for pcap export (bounded).
     captures: Vec<CapturedFrame>,
     /// Frames not captured because the buffer was full.
@@ -293,6 +297,7 @@ impl FlightRecorder {
         assert!(capacity > 0, "flight ring needs at least one slot");
         FlightRecorder {
             capacity,
+            prune_labels_at: capacity / 4,
             ..FlightRecorder::default()
         }
     }
@@ -330,6 +335,7 @@ impl FlightRecorder {
         self.head = 0;
         self.overwritten = 0;
         self.labels.clear();
+        self.prune_labels_at = self.capacity / 4;
         self.captures.clear();
         self.captures_dropped = 0;
     }
@@ -344,6 +350,16 @@ impl FlightRecorder {
 
     /// Allocates a flight id for a packet leaving its origin, optionally
     /// tagged with a static label. Returns [`NO_FLIGHT`] when disabled.
+    ///
+    /// The label table is bounded by the ring: once it reaches its prune
+    /// mark it drops the labels of this recorder's flights older than the
+    /// oldest of its flights with a hop still in the ring, and sets the
+    /// next mark at the labels kept plus the larger of that count and a
+    /// quarter of the ring capacity. Every journey with a surviving hop
+    /// keeps its label, unless the flight records a hop after a prune that
+    /// ran while none of its hops was in the ring (its earlier hops were
+    /// all overwritten, or it had recorded none yet while newer flights
+    /// had).
     pub fn begin_flight(&mut self, label: Option<&'static str>) -> u64 {
         if !self.enabled {
             return NO_FLIGHT;
@@ -352,9 +368,39 @@ impl FlightRecorder {
         debug_assert!(self.next_flight < 1 << FLIGHT_SHARD_SHIFT);
         let id = self.flight_base + self.next_flight;
         if let Some(l) = label {
-            self.labels.insert(id, l);
+            if self.labels.len() >= self.prune_labels_at {
+                self.prune_labels();
+            }
+            self.labels.push((id, l));
         }
         id
+    }
+
+    /// Drops the labels of this recorder's flights older than the oldest
+    /// of its flights with a hop in the ring. Flights of other shards
+    /// whose hops this ring recorded do not count: their labels live in
+    /// their own shard's recorder.
+    fn prune_labels(&mut self) {
+        let shard = self.flight_base >> FLIGHT_SHARD_SHIFT;
+        let oldest = self
+            .ring
+            .iter()
+            .map(|h| h.flight)
+            .filter(|&f| f >> FLIGHT_SHARD_SHIFT == shard)
+            .min()
+            .unwrap_or(u64::MAX);
+        let cut = self.labels.partition_point(|&(f, _)| f < oldest);
+        self.labels.drain(..cut);
+        let kept = self.labels.len();
+        self.prune_labels_at = kept + kept.max(self.capacity / 4);
+    }
+
+    /// The label `flight` was tagged with, if it still has one.
+    fn label_of(&self, flight: u64) -> Option<&'static str> {
+        self.labels
+            .binary_search_by_key(&flight, |&(f, _)| f)
+            .ok()
+            .map(|i| self.labels[i].1)
     }
 
     /// Records one hop. A no-op when disabled or when `flight` is
@@ -459,7 +505,7 @@ impl FlightRecorder {
             .into_iter()
             .map(|flight| Journey {
                 flight,
-                label: self.labels.get(&flight).copied(),
+                label: self.label_of(flight),
                 hops: by_flight.remove(&flight).expect("keyed"),
             })
             .collect()
@@ -501,9 +547,7 @@ impl FlightRecorder {
     /// shards) and `host_base` the offset added to every hop's host index
     /// so per-shard indices map into the merged run's host-name table.
     pub fn dump(&self, shard: u32, host_base: u32) -> FlightDump {
-        let mut labels: Vec<(u64, &'static str)> =
-            self.labels.iter().map(|(&f, &l)| (f, l)).collect();
-        labels.sort_unstable_by_key(|&(f, _)| f);
+        let labels = self.labels.clone();
         let mut hops = self.hops_in_order();
         for h in &mut hops {
             h.host += host_base;
@@ -534,6 +578,7 @@ impl FlightRecorder {
             rec.labels.extend(d.labels);
             all.extend(d.hops.into_iter().map(|h| (d.shard, h)));
         }
+        rec.labels.sort_unstable_by_key(|&(f, _)| f);
         all.sort_unstable_by_key(|&(shard, h)| (h.at, shard, h.seq));
         for (_, h) in all {
             rec.hop_slow(h.flight, h.at, h.host, h.point, h.action);
@@ -827,6 +872,62 @@ mod tests {
         assert_eq!(js[0].outcome(), Outcome::Delivered);
         assert_eq!(js[0].hops.len(), 3, "cross-shard hops stitched together");
         assert_eq!(js[1].flight, f1);
+    }
+
+    #[test]
+    fn label_table_stays_bounded_and_surviving_journeys_keep_labels() {
+        const CAPACITY: usize = 16;
+        let mut rec = FlightRecorder::with_capacity(CAPACITY);
+        rec.set_enabled(true);
+        let mut expected = HashMap::new();
+        let long = rec.begin_flight(Some("long"));
+        expected.insert(long, "long");
+        for i in 0..1_000u64 {
+            let label = if i % 2 == 0 { "even" } else { "odd" };
+            let f = rec.begin_flight(Some(label));
+            expected.insert(f, label);
+            rec.hop(f, t(i), 0, "udp", HopAction::Sent);
+            rec.hop(f, t(i), 1, "udp", HopAction::Delivered);
+            // A flight still in the air keeps its label however many
+            // newer flights come and go around it; once it lands, the
+            // next prunes bring the table back to the ring's size.
+            if i < 100 && i % 3 == 0 {
+                rec.hop(long, t(i), 2, "ip.fwd", HopAction::Forwarded);
+            }
+            if i == 99 {
+                let js = rec.journeys();
+                let j = js.iter().find(|j| j.flight == long).expect("long flight");
+                assert_eq!(j.label, Some("long"));
+            }
+            let kept = rec.dump(0, 0).labels.len();
+            assert!(
+                i < 300 || kept <= 2 * CAPACITY + CAPACITY / 4,
+                "{kept} labels kept after {i} flights"
+            );
+        }
+        let journeys = rec.journeys();
+        assert!(!journeys.is_empty());
+        for j in &journeys {
+            assert_eq!(j.label, Some(expected[&j.flight]), "flight {}", j.flight);
+        }
+    }
+
+    #[test]
+    fn a_shards_labels_are_pruned_past_other_shards_flights() {
+        const CAPACITY: usize = 16;
+        let mut rec = FlightRecorder::with_capacity(CAPACITY);
+        rec.set_enabled(true);
+        rec.set_flight_namespace(1);
+        // A shard-0 flight crossing into this shard: its id is below every
+        // id this recorder hands out, and its label lives in shard 0.
+        let foreign = 7;
+        for i in 0..1_000u64 {
+            let f = rec.begin_flight(Some("s3"));
+            rec.hop(f, t(i), 0, "udp", HopAction::Sent);
+            rec.hop(foreign, t(i), 1, "udp", HopAction::Delivered);
+        }
+        let kept = rec.dump(1, 0).labels.len();
+        assert!(kept <= 2 * CAPACITY + CAPACITY / 4, "{kept} labels kept");
     }
 
     #[test]

@@ -33,9 +33,9 @@ pub struct Network {
     pub hosts: Vec<Host>,
     /// LANs, indexed by [`LanId`].
     pub lans: Vec<Lan>,
-    attach_map: HashMap<AttachmentKey, (HostId, IfaceId)>,
-    attach_keys: HashMap<(HostId, IfaceId), AttachmentKey>,
-    next_key: u64,
+    /// Scratch list of one frame's surviving copies, reused by every
+    /// [`transmit_wire`] call so a hop allocates nothing for its fan-out.
+    deliveries: Vec<Delivery>,
     /// Cross-shard plumbing; `None` (the default) keeps the world fully
     /// unsharded — zero overhead, byte-identical to the classic engine.
     sharding: Option<Sharding>,
@@ -43,6 +43,15 @@ pub struct Network {
 
 /// A simulation over a [`Network`].
 pub type NetSim = Sim<Network>;
+
+/// One copy of a frame the medium delivers: recipient, arrival delay and
+/// the fault plan's verdict on it.
+type Delivery = (HostId, IfaceId, SimDuration, FaultVerdict);
+
+/// The `(host, interface)` pair an attachment key names.
+fn attached(key: AttachmentKey) -> (HostId, IfaceId) {
+    (HostId(key.host), IfaceId(key.iface))
+}
 
 /// A frame crossing a shard boundary: the wire bytes plus enough metadata
 /// to replay delivery on the peer shard's copy of the portal segment.
@@ -238,33 +247,26 @@ impl ShardWorld for Network {
             flight,
             bytes,
         } = env.payload;
-        let (lan_id, recipients) = {
-            let w = sim.world();
-            let Some(sh) = w.sharding.as_ref() else {
+        let lan_id = {
+            let Some(sh) = sim.world().sharding.as_ref() else {
                 return;
             };
             let Some(&lan_id) = sh.lan_of_portal.get(&portal) else {
                 debug_assert!(false, "envelope for unknown portal {portal}");
                 return;
             };
-            // The trunk is lossless and its delay is already baked into
-            // `at`, so delivery needs no medium draws here — and must not
-            // make any: cross-shard traffic never touches this shard's
-            // RNG stream.
-            let lan = &w.lans[lan_id.0];
-            let mut found = Vec::new();
-            for key in lan.recipients(dst, src) {
-                if let Some((h, i)) = w.resolve_attachment(key) {
-                    found.push((h, i));
-                }
-            }
-            (lan_id, found)
+            lan_id
         };
-        if recipients.is_empty() {
-            return;
-        }
+        // The trunk is lossless and its delay is already baked into `at`,
+        // so delivery needs no medium draws here — and must not make any:
+        // cross-shard traffic never touches this shard's RNG stream.
         let bytes = PacketBytes::from_vec(bytes).with_flight(flight);
-        for (h, i) in recipients {
+        for idx in 0..sim.world().lans[lan_id.0].len() {
+            let a = sim.world().lans[lan_id.0].attachments()[idx];
+            if !a.receives(dst, src) {
+                continue;
+            }
+            let (h, i) = attached(a.key);
             let copy = bytes.clone();
             sim.schedule_at(at, move |sim| deliver_frame(sim, h, i, lan_id, copy));
         }
@@ -318,33 +320,27 @@ impl Network {
     }
 
     fn attach_with(&mut self, host: HostId, iface: IfaceId, lan: LanId, promiscuous: bool) {
-        assert!(
-            !self.attach_keys.contains_key(&(host, iface)),
-            "{:?}/{:?} already attached",
-            host,
-            iface
-        );
-        let key = AttachmentKey(self.next_key);
-        self.next_key += 1;
-        let mac = self.hosts[host.0].core.iface(iface).device.mac();
+        let ifc = self.hosts[host.0].core.iface(iface);
+        assert!(ifc.lan.is_none(), "{:?}/{:?} already attached", host, iface);
+        let mac = ifc.device.mac();
         self.lans[lan.0].attach(Attachment {
-            key,
+            key: AttachmentKey {
+                host: host.0,
+                iface: iface.0,
+            },
             mac,
             promiscuous,
         });
         self.hosts[host.0].core.iface_mut(iface).lan = Some(lan);
-        self.attach_map.insert(key, (host, iface));
-        self.attach_keys.insert((host, iface), key);
     }
 
     /// Detaches an interface from its LAN (unplugging / leaving range).
     pub fn detach(&mut self, host: HostId, iface: IfaceId) {
-        if let Some(key) = self.attach_keys.remove(&(host, iface)) {
-            if let Some(lan) = self.hosts[host.0].core.iface(iface).lan {
-                self.lans[lan.0].detach(key);
-            }
-            self.attach_map.remove(&key);
-            self.hosts[host.0].core.iface_mut(iface).lan = None;
+        if let Some(lan) = self.hosts[host.0].core.iface_mut(iface).lan.take() {
+            self.lans[lan.0].detach(AttachmentKey {
+                host: host.0,
+                iface: iface.0,
+            });
         }
     }
 
@@ -362,10 +358,6 @@ impl Network {
         if let Some(lan) = lan {
             self.attach(host, iface, lan);
         }
-    }
-
-    fn resolve_attachment(&self, key: AttachmentKey) -> Option<(HostId, IfaceId)> {
-        self.attach_map.get(&key).copied()
     }
 }
 
@@ -818,7 +810,6 @@ pub(crate) fn transmit_wire(
     let wire_len = wire.len();
     let payload_len = wire_len - FRAME_HEADER_LEN;
     struct Tx {
-        deliveries: Vec<(HostId, IfaceId, SimDuration, FaultVerdict)>,
         lan: LanId,
         lost: u64,
         faults: Vec<&'static str>,
@@ -847,12 +838,15 @@ pub(crate) fn transmit_wire(
             // its own stream. Neither stream's draws depend on the other's,
             // so judging each recipient as the walk reaches it keeps both
             // sequences fixed.
-            let recipients = w.lans[lan_id.0].recipients(dst, src_mac);
-            let mut deliveries = Vec::with_capacity(recipients.len());
+            debug_assert!(w.deliveries.is_empty());
             let mut lost = 0;
             let mut faults = Vec::new();
-            for key in recipients {
+            for idx in 0..w.lans[lan_id.0].len() {
                 let lan = &mut w.lans[lan_id.0];
+                let a = lan.attachments()[idx];
+                if !a.receives(dst, src_mac) {
+                    continue;
+                }
                 if lan.draw_loss(rng) {
                     lost += 1;
                     continue;
@@ -869,9 +863,8 @@ pub(crate) fn transmit_wire(
                 if verdict.drop {
                     continue;
                 }
-                if let Some((h, i)) = w.resolve_attachment(key) {
-                    deliveries.push((h, i, delay, verdict));
-                }
+                let (h, i) = attached(a.key);
+                w.deliveries.push((h, i, delay, verdict));
             }
             // Portal segments also reach the peer shards' attachments,
             // one (fixed) trunk delay later, via the barrier exchange.
@@ -879,7 +872,6 @@ pub(crate) fn transmit_wire(
                 stage_cross_shard(w, lan_id, now, tx_time, dst, src_mac, &wire);
             }
             Some(Tx {
-                deliveries,
                 lan: lan_id,
                 lost,
                 faults,
@@ -932,7 +924,10 @@ pub(crate) fn transmit_wire(
         sim.trace_mut().record(now, kind, name, detail);
     }
     let lan = plan.lan;
-    for (h, i, delay, verdict) in plan.deliveries {
+    // Taken out while the copies are scheduled and put back (empty, its
+    // capacity kept) for the next frame.
+    let mut deliveries = std::mem::take(&mut sim.world_mut().deliveries);
+    for (h, i, delay, verdict) in deliveries.drain(..) {
         let delay = delay + verdict.extra_delay;
         let bytes = match verdict.corrupt {
             Some((off, mask)) => {
@@ -951,6 +946,7 @@ pub(crate) fn transmit_wire(
         }
         sim.schedule_in(delay, move |sim| deliver_frame(sim, h, i, lan, bytes));
     }
+    sim.world_mut().deliveries = deliveries;
 }
 
 /// A frame arrives at a device; if the device is still on the LAN it was

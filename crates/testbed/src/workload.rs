@@ -42,8 +42,8 @@ pub struct UdpEchoSender {
     /// Extra payload padding bytes (past the 8-byte sequence stamp).
     pub padding: usize,
     sock: Option<SocketId>,
-    next_seq: u64,
-    records: HashMap<u64, EchoRecord>,
+    /// One record per probe sent, indexed by its sequence number.
+    records: Vec<EchoRecord>,
     running: bool,
 }
 
@@ -57,8 +57,7 @@ impl UdpEchoSender {
             interval,
             padding: 24,
             sock: None,
-            next_seq: 0,
-            records: HashMap::new(),
+            records: Vec::new(),
             running: true,
         }
     }
@@ -70,13 +69,13 @@ impl UdpEchoSender {
 
     /// Total datagrams sent.
     pub fn sent(&self) -> u64 {
-        self.next_seq
+        self.records.len() as u64
     }
 
     /// Total echoes received.
     pub fn received(&self) -> u64 {
         self.records
-            .values()
+            .iter()
             .filter(|r| r.echoed_at.is_some())
             .count() as u64
     }
@@ -87,7 +86,7 @@ impl UdpEchoSender {
     /// slow echoes have had time to arrive.
     pub fn lost_in_window(&self, from: SimTime, to: SimTime) -> u64 {
         self.records
-            .values()
+            .iter()
             .filter(|r| r.sent_at >= from && r.sent_at < to && r.echoed_at.is_none())
             .count() as u64
     }
@@ -96,29 +95,21 @@ impl UdpEchoSender {
     /// sorted ascending — the ground truth the flight recorder's blackout
     /// reconstruction is checked against.
     pub fn lost_sent_times(&self, from: SimTime, to: SimTime) -> Vec<SimTime> {
-        let mut times: Vec<SimTime> = self
-            .records
-            .values()
+        // Probes are sent in sequence order, so send times already ascend.
+        self.records
+            .iter()
             .filter(|r| r.sent_at >= from && r.sent_at < to && r.echoed_at.is_none())
             .map(|r| r.sent_at)
-            .collect();
-        times.sort();
-        times
+            .collect()
     }
 
     /// Round-trip times of all returned echoes, in send order.
     pub fn rtts(&self) -> Vec<SimDuration> {
-        let mut seqs: Vec<_> = self
-            .records
-            .iter()
-            .filter_map(|(s, r)| r.rtt().map(|rtt| (*s, rtt)))
-            .collect();
-        seqs.sort_by_key(|(s, _)| *s);
-        seqs.into_iter().map(|(_, rtt)| rtt).collect()
+        self.records.iter().filter_map(EchoRecord::rtt).collect()
     }
 
-    /// The full per-sequence record (diagnostics).
-    pub fn records(&self) -> &HashMap<u64, EchoRecord> {
+    /// The full record, indexed by sequence number (diagnostics).
+    pub fn records(&self) -> &[EchoRecord] {
         &self.records
     }
 }
@@ -138,15 +129,11 @@ impl Module for UdpEchoSender {
         if token != TOKEN_SEND || !self.running {
             return;
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.records.insert(
-            seq,
-            EchoRecord {
-                sent_at: ctx.now,
-                echoed_at: None,
-            },
-        );
+        let seq = self.records.len() as u64;
+        self.records.push(EchoRecord {
+            sent_at: ctx.now,
+            echoed_at: None,
+        });
         let mut payload = Vec::with_capacity(8 + self.padding);
         payload.extend_from_slice(&seq.to_be_bytes());
         payload.resize(8 + self.padding, 0xEC);
@@ -172,7 +159,10 @@ impl Module for UdpEchoSender {
     ) {
         if payload.len() >= 8 {
             let seq = u64::from_be_bytes(payload[..8].try_into().expect("8 bytes"));
-            if let Some(rec) = self.records.get_mut(&seq) {
+            let rec = usize::try_from(seq)
+                .ok()
+                .and_then(|seq| self.records.get_mut(seq));
+            if let Some(rec) = rec {
                 if rec.echoed_at.is_none() {
                     rec.echoed_at = Some(ctx.now);
                 }
